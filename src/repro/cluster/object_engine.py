@@ -16,9 +16,9 @@ Bit-identity notes (the equivalence harness asserts all of these):
   produce identical bits when the association order matches, so each
   scalar expression below brackets exactly like its vector twin;
 * ``numpy.random.Generator`` consumes its stream identically for ``k``
-  scalar ``normal()`` draws and one ``normal(size=k)`` draw, so the
-  per-node noise loop here reads the same stream as the vector
-  engine's batched draw;
+  scalar ``normal()`` draws and one ``standard_normal(k)`` draw, so the
+  per-job jitter and per-node noise draws here read the same stream as
+  the vector engine's one draw per tick;
 * dict accumulation in snapshot order equals ``numpy.bincount``'s
   left-to-right per-bin accumulation.
 """
@@ -37,6 +37,7 @@ from repro.workload.executor import FinishedJob
 if TYPE_CHECKING:
     from repro.cluster.state import ClusterState
     from repro.power.model import PowerModel
+    from repro.workload.executor import RunningLayout
     from repro.workload.job import Job
     from repro.workload.phases import Phase
 
@@ -146,7 +147,9 @@ class ObjectEngine(ClusterEngine):
         util_jitter_std: float,
         node_noise_std: float,
         modulation_factor: float,
+        layout: RunningLayout,
     ) -> list[FinishedJob]:
+        # ``layout`` is ignored: the reference walks the jobs themselves.
         finished: list[FinishedJob] = []
         top_level = state.spec.top_level
         for job in jobs:

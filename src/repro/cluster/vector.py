@@ -5,12 +5,17 @@
 :class:`VectorEngine` is the production implementation of
 :class:`~repro.cluster.engine.ClusterEngine`: telemetry sweeps are fancy-
 indexed gathers, Formula (1) is fused array arithmetic, per-job
-aggregation is ``numpy.bincount``, and job stepping batches every
-running job's nodes into one concatenated array walk (one ``speed_of``
-gather, one segmented ``minimum.reduceat`` for the bottleneck rate, one
-combined ``set_load`` write).  No kernel loops over nodes in Python —
-reprolint's RL106 enforces that for every module carrying the hot-path
-marker above.
+aggregation is ``numpy.bincount``, and job stepping is array operations
+along both the node and the job axis.  A tick reads the running set's
+job-invariant arrays from a cached
+:class:`~repro.workload.executor.RunningLayout`, looks every job's
+phase up at once from padded phase tables, draws all jitter and
+per-node noise in one ``standard_normal`` call, takes bottleneck rates
+with one segmented ``minimum.reduceat`` and writes the load with one
+``set_load``; its only per-job Python work is one progress gather and
+one write-back.  No kernel loops over nodes in Python, and no kernel
+draws from the RNG inside a loop — reprolint's RL106 and RL108 enforce
+both for every module carrying the hot-path marker above.
 
 Bit-identity with the object engine is engineered, not hoped for: see
 the module docstring of :mod:`repro.cluster.engine` for the contract,
@@ -30,6 +35,7 @@ from repro.workload.executor import FinishedJob
 if TYPE_CHECKING:
     from repro.cluster.state import ClusterState
     from repro.power.model import PowerModel
+    from repro.workload.executor import RunningLayout
     from repro.workload.job import Job
 
 __all__ = ["VectorEngine"]
@@ -93,82 +99,83 @@ class VectorEngine(ClusterEngine):
         util_jitter_std: float,
         node_noise_std: float,
         modulation_factor: float,
+        layout: RunningLayout,
     ) -> list[FinishedJob]:
         if not jobs:
             return []
         n_jobs = len(jobs)
-        betas = np.empty(n_jobs, dtype=np.float64)
-        cpu_sig = np.empty(n_jobs, dtype=np.float64)
-        nic_sig = np.empty(n_jobs, dtype=np.float64)
-        mem = np.empty(n_jobs, dtype=np.float64)
-        jitters = np.empty(n_jobs, dtype=np.float64)
-        counts = np.empty(n_jobs, dtype=np.int64)
-        id_blocks: list[np.ndarray] = []
-        factor_blocks: list[np.ndarray] = []
-        # Pass 1 — cheap per-*job* scalar work.  The RNG draw order is
-        # the contract: per job, one shared jitter scalar then one
-        # per-node noise vector, exactly the stream the object engine
-        # consumes with its per-node scalar draws.
-        for j, job in enumerate(jobs):
-            phase = job.app.schedule.phase_at(job.cycle_position)
-            betas[j] = phase.compute_boundness
-            cpu_sig[j] = phase.cpu_util
-            nic_sig[j] = phase.nic_frac
-            jitter = modulation_factor
-            if util_jitter_std > 0:
-                jitter *= max(0.0, 1.0 + rng.normal(0.0, util_jitter_std))
-            jitters[j] = jitter
-            k = len(job.nodes)
-            counts[j] = k
-            id_blocks.append(job.nodes)
-            if node_noise_std > 0:
-                factor_blocks.append(
-                    np.maximum(0.0, 1.0 + rng.normal(0.0, node_noise_std, size=k))
-                )
-            else:
-                factor_blocks.append(np.ones(k))
-            assert job.start_time is not None
-            ramp = 1.0
-            if job.app.mem_ramp_s > 0:
-                ramp = min(1.0, (now - job.start_time) / job.app.mem_ramp_s)
-            mem[j] = job.app.mem_fraction * ramp
+        ids = layout.node_ids
+        progress = np.array([job.progress_s for job in jobs], dtype=np.float64)
 
-        # Pass 2 — one batched array walk over every running node.
-        all_ids = np.concatenate(id_blocks)
-        node_factor = np.concatenate(factor_blocks)
-        offsets = np.zeros(n_jobs, dtype=np.int64)
-        np.cumsum(counts[:-1], out=offsets[1:])
-        speeds = state.speed_of(all_ids)
-        # ``minimum.reduceat`` is an exact segmented min — identical to
-        # the object engine's per-node running min.
-        s_min = np.minimum.reduceat(speeds, offsets)
-        rates = 1.0 / ((1.0 - betas) + betas / s_min)
-        min_levels = np.minimum.reduceat(state.level[all_ids], offsets)
-        degraded = min_levels < state.spec.top_level
-
-        # Pass 3 — per-job progress bookkeeping (scalar, RNG-free).
-        finished: list[FinishedJob] = []
-        for j, job in enumerate(jobs):
-            if degraded[j]:
-                job.degraded_exposure_s += dt
-            rate = float(rates[j])
-            remaining = job.remaining_work_s
-            step_work = rate * dt
-            if step_work >= remaining and remaining >= 0.0:
-                time_to_finish = remaining / rate if rate > 0 else dt
-                job.progress_s = job.nominal_runtime_s
-                finished.append(FinishedJob(job=job, finish_time=now + time_to_finish))
-            else:
-                job.progress_s += step_work
-
-        # Pass 4 — one combined load write.  Job node sets are disjoint,
-        # so this equals the object engine's per-node writes; the
-        # association ``(signature · jitter) · node_factor`` matches its
-        # scalar product order.
-        cpu_vals = np.repeat(cpu_sig * jitters, counts) * node_factor
-        nic_vals = np.repeat(nic_sig * jitters, counts) * node_factor
-        mem_vals = np.repeat(mem, counts)
-        state.set_load(
-            all_ids, cpu_util=cpu_vals, mem_frac=mem_vals, nic_frac=nic_vals
+        # Phases: ``Job.cycle_position`` then ``PhaseSchedule.phase_at``
+        # (its ``% 1.0`` wrap, bisect and last-phase clamp) for every job
+        # at once.  Progress is non-negative, where numpy's ``remainder``
+        # and Python's ``%`` both reduce to the exact ``fmod``; counting
+        # the boundaries ``<= pos`` of a sorted row is ``bisect_right``.
+        pos = np.remainder(np.remainder(progress, layout.cycle_s) / layout.cycle_s, 1.0)
+        phase = np.minimum(
+            (layout.bounds <= pos[:, None]).sum(axis=1), layout.last_phase
         )
+        sig = layout.signatures[layout.row_base + phase]
+        betas = sig[:, 2]
+
+        # Jitter and per-node noise: one draw for the whole running set.
+        # ``Generator.normal(0.0, std)`` returns ``0.0 + std·z`` for the
+        # next standard normal ``z``, and ``1.0 + (0.0 + x) == 1.0 + x``
+        # for every float ``x``, so these are the per-job draws' bits.
+        jittered, noisy = util_jitter_std > 0, node_noise_std > 0
+        if jittered and noisy:
+            z = rng.standard_normal(n_jobs + len(ids))
+            z_jitter, z_noise = z[layout.jitter_pos], z[layout.noise_pos]
+        elif jittered:
+            z_jitter = rng.standard_normal(n_jobs)
+        elif noisy:
+            z_noise = rng.standard_normal(len(ids))
+        jitter: float | np.ndarray = modulation_factor
+        if jittered:
+            factor = np.maximum(0.0, 1.0 + util_jitter_std * z_jitter)
+            jitter = (modulation_factor * factor)[:, None]
+
+        # Bottleneck rate.  ``minimum.reduceat`` is an exact segmented
+        # min — identical to the object engine's per-node running min.
+        s_min = np.minimum.reduceat(state.speed_of(ids), layout.offsets)
+        rates = 1.0 / ((1.0 - betas) + betas / s_min)
+        degraded = (
+            np.minimum.reduceat(state.level[ids], layout.offsets)
+            < state.spec.top_level
+        )
+
+        # Progress, finishing and the sub-tick finish instant.  ``fmax``
+        # is Python's ``max(0.0, x)`` even for NaN, so ``remaining`` is
+        # never negative and the reference's ``remaining >= 0`` holds.
+        remaining = np.fmax(0.0, layout.nominal_s - progress)
+        step_work = rates * dt
+        done = step_work >= remaining
+        for job, value in zip(
+            jobs, np.where(done, layout.nominal_s, progress + step_work).tolist()
+        ):
+            job.progress_s = value
+        for j in np.flatnonzero(degraded).tolist():
+            jobs[j].degraded_exposure_s += dt
+        finished: list[FinishedJob] = []
+        fin = np.flatnonzero(done)
+        if fin.size:
+            time_to_finish = np.divide(
+                remaining[fin], rates[fin], out=np.full(fin.size, dt), where=rates[fin] > 0
+            )
+            finished = [
+                FinishedJob(job=jobs[j], finish_time=t)
+                for j, t in zip(fin.tolist(), (now + time_to_finish).tolist())
+            ]
+
+        # One combined load write.  Job node sets are disjoint, so this
+        # equals the object engine's per-node writes; the association
+        # ``(signature · jitter) · node_factor`` matches its scalar
+        # product order (a factor of exactly 1.0 is skipped).
+        load = (sig[:, :2] * jitter)[layout.node_job]
+        if noisy:
+            load *= np.maximum(0.0, 1.0 + node_noise_std * z_noise)[:, None]
+        ramp = np.minimum(1.0, (now - layout.ramp_origin_s) / layout.ramp_s)
+        mem_vals = (layout.mem_fraction * ramp)[layout.node_job]
+        state.set_load(ids, cpu_util=load[:, 0], mem_frac=mem_vals, nic_frac=load[:, 1])
         return finished

@@ -19,6 +19,7 @@ progress bookkeeping the metrics need afterwards:
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -76,9 +77,12 @@ class Job:
     # ------------------------------------------------------------------
     # Derived quantities
     # ------------------------------------------------------------------
-    @property
+    @functools.cached_property
     def nominal_runtime_s(self) -> float:
-        """``T_j``: runtime at full frequency, seconds."""
+        """``T_j``: runtime at full frequency, seconds.
+
+        Cached: ``app`` and ``nprocs`` never change after construction.
+        """
         return self.app.nominal_runtime(self.nprocs)
 
     @property

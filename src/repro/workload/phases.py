@@ -15,7 +15,10 @@ That is what makes capping stretch runtimes instead of cutting work.
 from __future__ import annotations
 
 import bisect
+import functools
 from dataclasses import dataclass
+
+import numpy as np
 
 from repro.errors import WorkloadError
 
@@ -90,6 +93,33 @@ class PhaseSchedule:
 
     def __len__(self) -> int:
         return len(self._phases)
+
+    def __repr__(self) -> str:
+        # Content, not identity: result digests hash this repr.
+        return f"PhaseSchedule({self._phases!r})"
+
+    @functools.cached_property
+    def table(self) -> np.ndarray:
+        """The schedule as a read-only ``(4, len(self))`` float64 array.
+
+        Rows: cumulative phase boundaries (the list :meth:`phase_at`
+        bisects), then each phase's ``cpu_util``, ``nic_frac`` and
+        ``compute_boundness``.  The vector engine looks phases up for
+        every running job at once from these rows.  Built on first use:
+        decoding a cached result rebuilds its schedules, and only
+        simulation reads the table.
+        """
+        table = np.array(
+            [
+                self._boundaries,
+                [p.cpu_util for p in self._phases],
+                [p.nic_frac for p in self._phases],
+                [p.compute_boundness for p in self._phases],
+            ],
+            dtype=np.float64,
+        )
+        table.flags.writeable = False
+        return table
 
     def phase_at(self, cycle_position: float) -> Phase:
         """The phase active at ``cycle_position`` ∈ [0, 1).

@@ -7,10 +7,18 @@ on any seeded world is a failing example with a minimal reproduction.
 
 from __future__ import annotations
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tests.equivalence.harness import assert_results_equal, run_pair
+from repro.errors import MetricError
+from repro.experiments.common import run_experiment
+from tests.equivalence.harness import (
+    PRESETS,
+    assert_results_equal,
+    make_config,
+    run_pair,
+)
 
 #: Policies spanning every engine kernel mix: power-ranked (mpc/lpc),
 #: savings-ranked (bfp), increase-rate (hri), stochastic and priority.
@@ -27,14 +35,16 @@ _POLICIES = ("mpc", "lpc", "bfp", "mpc-c", "hri", "random", "sla")
 def test_engines_identical_over_random_worlds(
     seed: int, policy: str, run_s: float, num_nodes: int
 ) -> None:
-    vector, obj = run_pair(
-        policy=policy,
-        seed=seed,
-        preset="clean",
-        run_s=run_s,
-        num_nodes=num_nodes,
-        training_s=120.0,
-    )
+    world = dict(run_s=run_s, num_nodes=num_nodes, training_s=120.0)
+    try:
+        vector, obj = run_pair(policy=policy, seed=seed, preset="clean", **world)
+    except MetricError:
+        # A short world in which no job finishes has no metrics (the
+        # vector run raised); the object engine must fail the same way.
+        config = make_config("object", seed=seed, **{**PRESETS["clean"], **world})
+        with pytest.raises(MetricError):
+            run_experiment(config, policy=policy)
+        return
     assert_results_equal(
         vector, obj, context=f"seed={seed} policy={policy} run={run_s}"
     )

@@ -89,6 +89,74 @@ _HOT_PATH_MARKER = "# reprolint: hot-path"
 #: Identifier tokens that signal per-node iteration.
 _NODE_TOKENS = {"node", "nodes"}
 
+#: ``numpy.random.Generator`` methods that consume the stream (RL108).
+_GENERATOR_DRAWS = frozenset(
+    {
+        "beta", "binomial", "bytes", "chisquare", "choice", "dirichlet",
+        "exponential", "f", "gamma", "geometric", "gumbel",
+        "hypergeometric", "integers", "laplace", "logistic", "lognormal",
+        "logseries", "multinomial", "multivariate_hypergeometric",
+        "multivariate_normal", "negative_binomial", "noncentral_chisquare",
+        "noncentral_f", "normal", "pareto", "permutation", "permuted",
+        "poisson", "power", "random", "rayleigh", "shuffle",
+        "standard_cauchy", "standard_exponential", "standard_gamma",
+        "standard_normal", "standard_t", "triangular", "uniform",
+        "vonmises", "wald", "weibull", "zipf",
+    }
+)
+
+#: Identifier tokens naming a Generator (``rng``, ``self._rng``, ``gen``).
+_RNG_TOKENS = {"rng", "gen", "generator"}
+
+
+def _is_generator(expr: ast.expr) -> bool:
+    """Whether ``expr`` reads as a Generator: an rng-named value or a
+    ``RandomSource.stream(...)`` call."""
+    if isinstance(expr, ast.Call):
+        return isinstance(expr.func, ast.Attribute) and expr.func.attr == "stream"
+    if isinstance(expr, ast.Name):
+        ident = expr.id
+    elif isinstance(expr, ast.Attribute):
+        ident = expr.attr
+    else:
+        return False
+    return bool(_RNG_TOKENS & set(ident.lower().split("_")))
+
+
+#: Statement loops and comprehensions: what RL108 looks inside.
+_COMPREHENSIONS = (ast.ListComp, ast.SetComp, ast.GeneratorExp, ast.DictComp)
+_LOOPS = (ast.For, ast.AsyncFor, ast.While, *_COMPREHENSIONS)
+
+
+def _repeated_parts(loop: ast.AST) -> list[ast.AST]:
+    """The parts of a loop or comprehension evaluated once per iteration."""
+    if isinstance(loop, (ast.For, ast.AsyncFor)):
+        return [*loop.body, *loop.orelse]
+    if isinstance(loop, ast.While):
+        return [loop.test, *loop.body]
+    assert isinstance(loop, _COMPREHENSIONS)
+    elts = [loop.key, loop.value] if isinstance(loop, ast.DictComp) else [loop.elt]
+    parts: list[ast.AST] = list(elts)
+    for k, gen in enumerate(loop.generators):
+        parts.extend(gen.ifs)
+        if k:  # only the first generator's iterable is evaluated once
+            parts.append(gen.iter)
+    return parts
+
+
+def _calls_within(parts: list[ast.AST]) -> Iterator[ast.Call]:
+    """Calls under ``parts``, not descending into nested definitions."""
+    stack = list(parts)
+    while stack:
+        node = stack.pop()
+        if isinstance(
+            node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef)
+        ):
+            continue
+        if isinstance(node, ast.Call):
+            yield node
+        stack.extend(ast.iter_child_nodes(node))
+
 
 def _mentions_node(expr: ast.AST) -> bool:
     """Whether any identifier in ``expr`` names a node or node container."""
@@ -107,7 +175,8 @@ def _mentions_node(expr: ast.AST) -> bool:
 class DeterminismChecker(Checker):
     """RL101 unseeded RNG, RL102 wall clock, RL103 OS entropy,
     RL104 hash-ordered set iteration, RL106 per-node loops on the
-    hot path, RL107 host CPU-topology reads."""
+    hot path, RL107 host CPU-topology reads, RL108 RNG draws inside
+    loops on the hot path."""
 
     rules = (
         Rule(
@@ -164,12 +233,25 @@ class DeterminismChecker(Checker):
             "Take an explicit worker count from configuration; worker "
             "count may only affect scheduling, never results.",
         ),
+        Rule(
+            "RL108",
+            "rng-draw-in-loop-on-hot-path",
+            Severity.ERROR,
+            "Generator draw inside a loop or comprehension in a "
+            "hot-path-marked module",
+            "A draw per iteration is one Python-to-C round trip per job "
+            "or node, so the hot path's cost grows with the loop.  Draw "
+            "the whole batch at once (one standard_normal(n), sliced per "
+            "item): a Generator yields the same stream either way.",
+        ),
     )
 
     def check(self, module: ParsedModule) -> Iterator[Diagnostic]:
         rng_exempt = module.in_package(*_RNG_EXEMPT_MODULES)
         docstring = ast.get_docstring(module.tree, clean=False) or ""
         hot_path = _HOT_PATH_MARKER in docstring
+        if hot_path:
+            yield from self._check_draws_in_loops(module)
         for node in ast.walk(module.tree):
             if isinstance(node, ast.Call):
                 yield from self._check_call(module, node, rng_exempt)
@@ -267,6 +349,30 @@ class DeterminismChecker(Checker):
                 "through the vector engine (or move it to the object "
                 "reference engine)",
             )
+
+    # -- RL108 ---------------------------------------------------------
+    def _check_draws_in_loops(self, module: ParsedModule) -> Iterator[Diagnostic]:
+        seen: set[int] = set()  # a draw under nested loops reports once
+        for loop in ast.walk(module.tree):
+            if not isinstance(loop, _LOOPS):
+                continue
+            for call in _calls_within(_repeated_parts(loop)):
+                func = call.func
+                if (
+                    id(call) in seen
+                    or not isinstance(func, ast.Attribute)
+                    or func.attr not in _GENERATOR_DRAWS
+                    or not _is_generator(func.value)
+                ):
+                    continue
+                seen.add(id(call))
+                yield self.emit(
+                    module,
+                    call,
+                    "RL108",
+                    f"Generator.{func.attr}() inside a loop in a hot-path "
+                    "module; draw the whole batch once and slice it",
+                )
 
     @staticmethod
     def _is_set_expression(node: ast.expr) -> bool:
