@@ -14,6 +14,13 @@ baseline + policies × seeds, >= 12 managed cells):
   byte-identical for ``jobs`` in {1, 2, 4}, cold or warm.  This is the
   contract that makes (a) safe to use at all.
 
+Serial and parallel runs both share training prefixes (rule 4 of
+:mod:`repro.experiments.sweep`): the grid holds three worlds, one per
+seed (5, 4 and 4 cells, the baseline sharing the first seed's), so the
+serial reference trains three of them, and at 4 workers the 5-cell
+world is split in two so the pool still has 4 tasks (4 trainings).
+The gates are unchanged.
+
 Usage::
 
     PYTHONPATH=src python benchmarks/bench_parallel_sweep.py [--quick]

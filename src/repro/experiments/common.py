@@ -21,6 +21,16 @@ Identical seeds give identical training periods and identical job
 so cross-policy comparisons differ only in what the manager did — the
 simulator's sharper version of the paper's "statistically identical
 12-hour streams".
+
+:func:`run_experiment` is exactly the composition of two helpers:
+:func:`_trained_world` (step 1, which reads only world fields: no
+manager, meter, injector or HA object exists before the window, and
+every :class:`~repro.sim.random.RandomSource` substream is keyed by
+name, not by draw order) and :func:`_run_window` (steps 2–4 on a
+trained world).  The sweep runner (:mod:`repro.experiments.sweep`)
+uses the seam to train a world once and run several cells' windows on
+``copy.deepcopy`` forks of it, bit-identical to running each cell from
+scratch.
 """
 
 from __future__ import annotations
@@ -381,30 +391,31 @@ def _run_training(world: _World) -> float:
     return peak
 
 
-def run_experiment(
+def _trained_world(config: ExperimentConfig) -> tuple[_World, float]:
+    """Step 1 of the protocol: a fresh world run through its training
+    period; returns ``(world, training peak)``."""
+    world = _World(config)
+    return world, _run_training(world)
+
+
+def _run_window(
+    world: _World,
+    training_peak: float,
     config: ExperimentConfig,
     policy: str | SelectionPolicy | None,
     label: str | None = None,
     manager_factory: type[PowerManager] | None = None,
 ) -> ExperimentResult:
-    """Run the full §V.C protocol once.
+    """Steps 2–4 of the protocol on a trained ``world``.
 
-    Args:
-        config: The experiment configuration.
-        policy: Policy name (see :func:`repro.core.policies.make_policy`),
-            a pre-built policy instance, or ``None`` for the unmanaged
-            baseline.
-        label: Report label; defaults to the policy name or "uncapped".
-        manager_factory: Manager class to instantiate (defaults to the
-            paper's :class:`~repro.core.manager.PowerManager`); pass a
-            baseline controller from :mod:`repro.core.baselines` to run
-            a related-work comparison on the identical protocol.
-
-    Returns:
-        The run's :class:`ExperimentResult`.
+    ``config`` may differ from ``world.config`` only in fields the
+    training period never reads (the sweep runner's
+    ``WINDOW_ONLY_FIELDS``); everything built here — manager, meter,
+    injector, HA layer, every policy/fault RNG substream — comes from
+    ``config`` and from ``world`` as it stands after training.  The
+    world is consumed: run each window on its own world (or a
+    ``copy.deepcopy`` of a trained one).
     """
-    world = _World(config)
-    training_peak = _run_training(world)
     provision_w = config.provision_fraction * training_peak
 
     # Sanity: the provision must satisfy the §II.D assumptions.
@@ -670,4 +681,32 @@ def run_experiment(
         expected_failures=failures,
         true_power_w=np.asarray(truth) if track_truth else None,
         observability=world.obs,
+    )
+
+
+def run_experiment(
+    config: ExperimentConfig,
+    policy: str | SelectionPolicy | None,
+    label: str | None = None,
+    manager_factory: type[PowerManager] | None = None,
+) -> ExperimentResult:
+    """Run the full §V.C protocol once.
+
+    Args:
+        config: The experiment configuration.
+        policy: Policy name (see :func:`repro.core.policies.make_policy`),
+            a pre-built policy instance, or ``None`` for the unmanaged
+            baseline.
+        label: Report label; defaults to the policy name or "uncapped".
+        manager_factory: Manager class to instantiate (defaults to the
+            paper's :class:`~repro.core.manager.PowerManager`); pass a
+            baseline controller from :mod:`repro.core.baselines` to run
+            a related-work comparison on the identical protocol.
+
+    Returns:
+        The run's :class:`ExperimentResult`.
+    """
+    world, training_peak = _trained_world(config)
+    return _run_window(
+        world, training_peak, config, policy, label, manager_factory
     )

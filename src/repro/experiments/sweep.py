@@ -10,7 +10,7 @@ ProcessPoolExecutor` and merged under a hard contract:
 **The merged output is bit-identical to serial execution, regardless of
 worker count or completion order.**
 
-Three design rules make that contract hold:
+Four design rules make that contract hold:
 
 1. *Cell-keyed randomness.*  Every cell's world is seeded exclusively
    from its own configuration (``RandomSource(seed=config.seed)``
@@ -24,6 +24,18 @@ Three design rules make that contract hold:
    the cache travel as canonical JSON; :meth:`SweepReport.merged_json`
    renders every run through the same encoder, so ``jobs=1`` and
    ``jobs=64`` produce the same bytes.
+4. *World-keyed prefix sharing.*  The unmanaged training period reads
+   only world fields, so pending cells whose configs agree once every
+   :data:`WINDOW_ONLY_FIELDS` entry is reset (same *world key*) train
+   one world together.  Each member but the last runs its evaluation
+   window on a ``copy.deepcopy`` of the trained world, the last on the
+   world itself; a fork is bit-identical to re-running the prefix
+   because every RNG substream is keyed by name and nothing of the
+   window (manager, meter, injector, HA layer) exists before it.  A
+   group of one, and every observability-enabled cell (its facade
+   records prefix spans), runs plain :func:`run_experiment`.  With
+   ``jobs > 1`` the unit of work is a group, split so there are never
+   fewer tasks than ``min(jobs, cells)``.
 
 Underneath sits the content-addressed :class:`~repro.experiments.cache.
 ResultCache`: identical cells — the unmanaged baseline that Figure 6,
@@ -33,7 +45,9 @@ simulated once and replayed from disk afterwards.
 
 from __future__ import annotations
 
+import copy
 import json
+from collections.abc import Iterator
 from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
 from dataclasses import MISSING, dataclass, fields, replace
 from multiprocessing import get_context
@@ -43,6 +57,8 @@ from repro.experiments.cache import CODE_VERSION, ResultCache
 from repro.experiments.common import (
     ExperimentConfig,
     ExperimentResult,
+    _run_window,
+    _trained_world,
     run_experiment,
 )
 from repro.experiments.serialize import (
@@ -56,6 +72,7 @@ from repro.experiments.serialize import (
 
 __all__ = [
     "MANAGER_ONLY_FIELDS",
+    "WINDOW_ONLY_FIELDS",
     "SweepCell",
     "SweepReport",
     "SweepStats",
@@ -89,6 +106,22 @@ MANAGER_ONLY_FIELDS: tuple[str, ...] = (
     "ha",
     "provision",
     "attach_provision",
+)
+
+#: Fields of :class:`ExperimentConfig` the training period never reads:
+#: every manager-only field plus what only the evaluation window uses.
+#: Cells that agree on everything else share one trained world (rule 4
+#: above).  A deny-list on purpose: a new field stays in the world key,
+#: and so is never shared, until someone classifies it here;
+#: ``tests/experiments/test_sweep.py`` fails until every field is either
+#: listed here or in its explicit list of world fields.
+WINDOW_ONLY_FIELDS: tuple[str, ...] = MANAGER_ONLY_FIELDS + (
+    "run_duration_s",
+    "provision_fraction",
+    "meter_noise_fraction",
+    "track_thermal",
+    "corruption",
+    "integrity",
 )
 
 
@@ -158,6 +191,11 @@ def baseline_config(config: ExperimentConfig) -> ExperimentConfig:
     a shared baseline reports the default margins, not any particular
     caller's.
     """
+    return _reset(config, MANAGER_ONLY_FIELDS)
+
+
+def _reset(config: ExperimentConfig, names: tuple[str, ...]) -> ExperimentConfig:
+    """``config`` with every field in ``names`` at its class default."""
     defaults = {
         f.name: (
             f.default_factory()
@@ -165,9 +203,16 @@ def baseline_config(config: ExperimentConfig) -> ExperimentConfig:
             else f.default
         )
         for f in fields(ExperimentConfig)
-        if f.name in MANAGER_ONLY_FIELDS
+        if f.name in names
     }
     return replace(config, **defaults)
+
+
+def _world_key(config: ExperimentConfig) -> str:
+    """Content address of the world ``config`` trains (rule 4)."""
+    return config_hash(
+        _reset(config, WINDOW_ONLY_FIELDS), None, salt=CODE_VERSION
+    )
 
 
 def baseline_cell(config: ExperimentConfig) -> SweepCell:
@@ -239,27 +284,88 @@ def _dedup(cells: list[SweepCell], salt: str) -> dict[str, SweepCell]:
     return unique
 
 
-def _cell_payload(cell: SweepCell) -> str:
+def _group_by_world(
+    pending: list[str], unique: dict[str, SweepCell]
+) -> list[list[str]]:
+    """Pending cell keys grouped by world key, each group in key order.
+
+    Observability-enabled cells never share: each is a group of one.
+    """
+    groups: dict[tuple[str, str], list[str]] = {}
+    for key in pending:
+        config = unique[key].config
+        world = (
+            ("cell", key) if config.obs.enabled else ("world", _world_key(config))
+        )
+        groups.setdefault(world, []).append(key)
+    return list(groups.values())
+
+
+def _plan_tasks(groups: list[list[str]], jobs: int) -> list[list[str]]:
+    """Units of work for ``jobs`` workers.
+
+    There are ``max(len(groups), min(jobs, cells))`` tasks, so the pool
+    keeps as many workers busy as when every cell was its own task:
+    while there are too few, the largest task (the first, on ties) is
+    split into halves, each of which trains its own world.
+    """
+    tasks = [list(group) for group in groups]
+    target = max(len(tasks), min(jobs, sum(len(task) for task in tasks)))
+    while len(tasks) < target:
+        largest = max(range(len(tasks)), key=lambda i: len(tasks[i]))
+        task = tasks.pop(largest)
+        half = (len(task) + 1) // 2
+        tasks[largest:largest] = [task[:half], task[half:]]
+    return tasks
+
+
+def _run_group(cells: list[SweepCell]) -> Iterator[ExperimentResult]:
+    """Each cell's result, in order, from one shared training prefix.
+
+    The cells must share a world key.  Every member but the last runs
+    its window on a ``copy.deepcopy`` of the trained world (taken
+    before any window touches it), the last on the world itself.  A
+    group of one runs plain :func:`run_experiment`.
+    """
+    if len(cells) == 1:
+        cell = cells[0]
+        yield run_experiment(cell.config, cell.policy, label=cell.label)
+        return
+    world, training_peak = _trained_world(cells[0].config)
+    last = len(cells) - 1
+    for i, cell in enumerate(cells):
+        fork = world if i == last else copy.deepcopy(world)
+        yield _run_window(
+            fork, training_peak, cell.config, cell.policy, cell.label
+        )
+
+
+def _group_payload(cells: list[SweepCell]) -> str:
     return canonical_json(
-        {
-            "config": config_to_dict(cell.config),
-            "policy": cell.policy,
-            "label": cell.label,
-        }
+        [
+            {
+                "config": config_to_dict(cell.config),
+                "policy": cell.policy,
+                "label": cell.label,
+            }
+            for cell in cells
+        ]
     )
 
 
-def _run_cell_json(payload: str) -> str:
-    """Worker entry point: decode a cell, run it, return canonical JSON.
+def _run_group_json(payload: str) -> list[str]:
+    """Worker entry point: decode a group, run it, return one canonical
+    JSON per cell, in the group's order.
 
     Module-level (picklable by the spawn context) and free of any
-    worker-local state: the run is a pure function of the payload, so
-    which worker executes it — and in what order — cannot matter.
+    worker-local state: the runs are a pure function of the payload, so
+    which worker executes them — and in what order — cannot matter.
     """
-    spec = json.loads(payload)
-    config = config_from_dict(spec["config"])
-    result = run_experiment(config, spec["policy"], label=spec["label"])
-    return canonical_json(result_to_dict(result))
+    cells = [
+        SweepCell(config_from_dict(spec["config"]), spec["policy"], spec["label"])
+        for spec in json.loads(payload)
+    ]
+    return [canonical_json(result_to_dict(result)) for result in _run_group(cells)]
 
 
 def run_sweep(
@@ -314,25 +420,29 @@ def run_sweep(
                     "boundaries; run serially or disable obs"
                 )
 
-    if jobs == 1 or len(pending) <= 1:
-        for key in pending:
-            cell = unique[key]
-            result = run_experiment(
-                cell.config, cell.policy, label=cell.label
-            )
-            results[key] = result
-            stats.computed += 1
-            if cache is not None:
-                cache.put(key, result)
+    def record(key: str, result: ExperimentResult) -> None:
+        results[key] = result
+        stats.computed += 1
+        if cache is not None:
+            cache.put(key, result)
+
+    tasks = _plan_tasks(_group_by_world(pending, unique), jobs)
+    if jobs == 1 or len(tasks) <= 1:
+        for task in tasks:
+            group = [unique[key] for key in task]
+            for key, result in zip(task, _run_group(group), strict=True):
+                record(key, result)
     else:
-        workers = min(jobs, len(pending))
+        workers = min(jobs, len(tasks))
         context = get_context("spawn")
         with ProcessPoolExecutor(
             max_workers=workers, mp_context=context
         ) as pool:
-            futures: dict[Future[str], str] = {
-                pool.submit(_run_cell_json, _cell_payload(unique[key])): key
-                for key in pending
+            futures: dict[Future[list[str]], list[str]] = {
+                pool.submit(
+                    _run_group_json, _group_payload([unique[key] for key in task])
+                ): task
+                for task in tasks
             }
             outstanding = set(futures)
             while outstanding:
@@ -340,13 +450,10 @@ def run_sweep(
                     outstanding, return_when=FIRST_COMPLETED
                 )
                 for future in done:
-                    key = futures[future]
-                    result = result_from_dict(json.loads(future.result()))
-                    results[key] = result
-                    stats.computed += 1
-                    stats.parallel += 1
-                    if cache is not None:
-                        cache.put(key, result)
+                    task = futures[future]
+                    for key, encoded in zip(task, future.result(), strict=True):
+                        record(key, result_from_dict(json.loads(encoded)))
+                        stats.parallel += 1
 
     ordered = tuple(unique[key] for key in sorted(unique))
     return SweepReport(cells=ordered, results=results, stats=stats, salt=salt)
